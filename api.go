@@ -164,22 +164,20 @@ const (
 	Distributed = exchange.Distributed
 )
 
-// PoissonExchange selects how the distributed Poisson CG refreshes ghost
-// entries each iteration (Config.PoissonExchange).
+// PoissonExchange selects the communication structure of the distributed
+// Poisson CG (Config.PoissonExchange).
 type PoissonExchange = pic.ExchangeMode
 
-// PoissonExchange values: PoissonHalo (the default) ships only
-// partition-boundary nodes point-to-point between neighbouring row blocks;
-// PoissonReplicated re-assembles the full vector through rank 0 every
-// iteration (the paper's scalability-wall structure, for comparison);
-// PoissonOwnerLocal additionally keeps only owned CSR rows plus a ghost
-// layer resident per rank and makes the once-per-solve charge reduction
-// and phi assembly boundary-proportional (DESIGN.md §6j) — the full
-// potential is then replicated only on demand (checkpoints, diagnostics).
+// PoissonExchange values: PoissonOwnerLocal (the default) keeps only owned
+// CSR rows plus a ghost layer resident per rank and ships only
+// partition-boundary values — the charge reduction, the per-iteration
+// ghost refresh and the phi assembly (DESIGN.md §6j); the full potential
+// is replicated only on demand (checkpoints, diagnostics).
+// PoissonReplicated moves the full vector through rank 0 every iteration
+// (the paper's Table IV scalability-wall structure, for comparison).
 const (
-	PoissonHalo       = pic.ExchangeHalo
-	PoissonReplicated = pic.ExchangeReplicated
 	PoissonOwnerLocal = pic.ExchangeOwnerLocal
+	PoissonReplicated = pic.ExchangeReplicated
 )
 
 // LoadBalance configures the dynamic load balancer (paper §V).

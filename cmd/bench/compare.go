@@ -19,7 +19,7 @@ const memRegressionLimitPct = 20.0
 
 // cellKey matches runs across BENCH files. The Poisson exchange mode is
 // deliberately not part of the key: each bench invocation runs one mode,
-// and comparing a replicated baseline against a halo candidate is exactly
+// and comparing a replicated baseline against an owner candidate is exactly
 // the comparison the mode knob exists for (the modes are printed so the
 // reader sees what changed). Workers IS part of the key — a 4-worker cell
 // is a different machine configuration than a serial one — with 0 (v3

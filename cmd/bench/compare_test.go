@@ -18,7 +18,7 @@ func twoReports() (*benchReport, *benchReport) {
 	newRep := &benchReport{
 		Schema: "dsmcpic-bench/v2",
 		Runs: []runResult{{
-			Ranks: 2, Strategy: "CC", PoissonExchange: "halo", WallMedianS: 0.9,
+			Ranks: 2, Strategy: "CC", PoissonExchange: "owner", WallMedianS: 0.9,
 			PhaseMedianS: map[string]float64{"Poisson_Solve": 0.002},
 			Traffic:      map[string]trafficStats{"Poisson_Solve": {Messages: 5480, Bytes: 2000000}},
 			Particles:    1000, PoissonIters: 390, PoissonResidual: 5e-7,
@@ -35,7 +35,7 @@ func TestCompareReportsImprovement(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"ranks=2 CC workers=1 (replicated -> halo)",
+		"ranks=2 CC workers=1 (replicated -> owner)",
 		"phase Poisson_Solve:",
 		"traffic Poisson_Solve:",
 		"poisson iters: 0 -> 390",

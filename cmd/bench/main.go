@@ -44,7 +44,7 @@
 //	workers          int                 kernel worker goroutines per rank
 //	                                     (absent/0 = 1, the serial path)
 //	strategy         string              "CC" or "DC"
-//	poisson_exchange string              "halo" or "replicated" (CG ghost refresh)
+//	poisson_exchange string              "owner" or "replicated" (CG exchanges)
 //	wall_seconds     []float64           host wall time of each repeat
 //	wall_median_s    float64             median of wall_seconds
 //	phase_median_s   map[phase]float64   median measured per-phase seconds,
@@ -189,7 +189,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "simulation seed (fixed across the matrix)")
 		out       = flag.String("out", "", "output JSON path (default BENCH_<date>.json)")
 		injectH   = flag.Int("inject-h", 1500, "H particles injected per step (global)")
-		poissonEx = flag.String("poisson-exchange", "halo", "Poisson CG ghost refresh: halo (boundary scatter), replicated (full vector via rank 0) or owner (owner-local rows, boundary-only charge/phi traffic)")
+		poissonEx = flag.String("poisson-exchange", "owner", "Poisson CG exchanges: owner (owner-local rows, boundary-only traffic) or replicated (full vector via rank 0)")
 		compare   = flag.Bool("compare", false, "diff two BENCH files: bench -compare old.json new.json; exits 1 on >20% wall regression")
 		calibrate = flag.String("calibrate", "", "fit cost-model unit costs from a v3 BENCH file and write a calibration profile")
 		calibOut  = flag.String("calibration-out", "CALIBRATION.json", "output path for -calibrate")

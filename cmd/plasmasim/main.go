@@ -46,7 +46,7 @@ func main() {
 		dt         = flag.Float64("dt", 1.2586e-6, "DSMC timestep (s)")
 		drift      = flag.Float64("drift", 10000, "inlet drift speed (m/s)")
 		strategy   = flag.String("strategy", "dc", "particle exchange strategy: dc or cc")
-		poissonEx  = flag.String("poisson-exchange", "halo", "Poisson CG ghost refresh: halo (boundary scatter), replicated (full vector via rank 0) or owner (owner-local rows, boundary-only charge/phi traffic)")
+		poissonEx  = flag.String("poisson-exchange", "owner", "Poisson CG exchanges: owner (owner-local rows, boundary-only traffic) or replicated (full vector via rank 0)")
 		lb         = flag.Bool("lb", true, "enable the dynamic load balancer")
 		lbT        = flag.Int("lb-t", 5, "load balance check interval T (DSMC steps)")
 		lbThr      = flag.Float64("lb-threshold", 2.0, "lii threshold")

@@ -249,19 +249,19 @@ func (p Platform) CommTimeCongested(ownMsgs, ownBytes, totalMsgs, totalBytes int
 
 // Once-per-solve Poisson traffic models (DESIGN.md §6j). Each Poisson
 // solve moves data outside the CG iterations twice: the charge reduction
-// on the way in and the phi assembly on the way out. The legacy exchange
-// modes ship the full nodal vector through collectives — the O(nodes)
-// wall of the paper's Table IV — while the owner-local mode ships only
-// the partition-boundary overlap entries point-to-point. These helpers
+// on the way in and the phi assembly on the way out. The replicated
+// exchange mode ships the full nodal vector through collectives — the
+// O(nodes) wall of the paper's Table IV — while the owner-local mode
+// ships only the partition-boundary overlap entries point-to-point. These helpers
 // give the analytic world-total sent bytes for both shapes, mirroring
 // simmpi's collective implementations, so bench results can be
 // cross-checked against the model without running a world.
 
-// PoissonOncePerSolveBytesFull is the legacy (halo and replicated) model:
+// PoissonOncePerSolveBytesFull is the replicated-mode model:
 // a binomial-tree AllreduceFloat64 over the full nodes-length vector
 // (every rank but the root sends its 8·nodes partial up, then the result
-// travels back down: 2(n-1)·8·nodes) plus the owned-segment Allgatherv
-// phi assembly (a linear gather of the (n-1) unowned shares into rank 0,
+// travels back down: 2(n-1)·8·nodes) plus the Gatherv→Bcast phi
+// assembly (a linear gather of the (n-1) unowned shares into rank 0,
 // then a binomial bcast of the full vector: ≈ (n-1)·8·nodes·(1 + (n-1)/n)
 // — modeled here without the per-part framing bytes).
 func PoissonOncePerSolveBytesFull(nodes, n int) int64 {
@@ -281,8 +281,7 @@ func PoissonOncePerSolveBytesFull(nodes, n int) int64 {
 // lists in opposite directions, so both legs together move 16 bytes per
 // boundary-overlap entry (one float64 each way), independent of the
 // global mesh size. boundaryEntries is Σ over ranks and neighbour pairs
-// of the shared consumer-node list lengths (pic.DistSolver's
-// ChargeSendNodes totals).
+// of the shared consumer-node list lengths.
 func PoissonOncePerSolveBytesOwnerLocal(boundaryEntries int) int64 {
 	return 2 * 8 * int64(boundaryEntries)
 }

@@ -41,7 +41,7 @@ func CaptureCheckpoint(s *Solver, step int) *Checkpoint {
 	defer s.Comm.SetPhase("")
 	// Owner-local Poisson keeps phi fresh only at owned + consumer nodes;
 	// the checkpointed potential must be the full vector, so replicate it
-	// on demand (a no-op gather in the legacy modes, which keep phi
+	// on demand (a no-op gather in replicated mode, which keeps phi
 	// replicated after every solve). Collective: all ranks participate.
 	s.dist.GatherPhi(s.Comm, s.phi)
 	blob := s.St.EncodeAll()

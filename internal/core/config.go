@@ -66,17 +66,14 @@ type Config struct {
 	// solvers' own shared zero-value default, sparse.DefaultTol.
 	PoissonTol     float64
 	PoissonMaxIter int
-	// PoissonExchange selects how the distributed CG refreshes ghost
-	// entries each iteration: pic.ExchangeHalo (the zero value and
-	// default) ships only partition-boundary nodes point-to-point between
-	// neighbouring row blocks; pic.ExchangeReplicated re-assembles the
-	// full vector through rank 0 every iteration (the paper's Table IV
-	// scalability-wall structure, kept for benchmark comparison);
-	// pic.ExchangeOwnerLocal additionally makes the once-per-solve charge
-	// reduction and phi assembly boundary-proportional and keeps only
-	// owned CSR rows + a ghost layer resident per rank (DESIGN.md §6j) —
-	// phi is then replicated only on demand (checkpoints, diagnostics)
-	// via GatherPhi.
+	// PoissonExchange selects how the distributed CG's exchanges travel
+	// (DESIGN.md §6j). pic.ExchangeOwnerLocal (the zero value and
+	// default) ships only partition-boundary values point-to-point — the
+	// charge reduction, the per-iteration ghost refresh and the phi
+	// assembly — and replicates phi only on demand (checkpoints,
+	// diagnostics) via GatherPhi; pic.ExchangeReplicated moves the full
+	// vector through rank 0 every iteration (the paper's Table IV
+	// scalability-wall structure, kept for internal/experiments).
 	PoissonExchange pic.ExchangeMode
 	// BC sets the Poisson Dirichlet boundary values (default: all grounded).
 	BC pic.BC

@@ -233,9 +233,9 @@ func (cm *CostModel) Times(w *Work, traffic, totals map[string]simmpi.PhaseStats
 	t[CompPICMove] = float64(w.MoveStepsPIC)*sp*cm.MoveStep + float64(w.Pushed)*sp*cm.Push +
 		float64(w.Deposited)*sp*cm.Deposit
 	t[CompPICExchange] = float64(w.PackedBytes[CompPICExchange])*sm*cm.PackByte + migT(CompPICExchange)
-	// Poisson communication: the halo exchange is neighbour-structured —
-	// every rank injects its boundary traffic concurrently — so the
-	// network sees the world-wide phase volume and each rank pays its
+	// Poisson communication: the owner-local exchanges are
+	// neighbour-structured — every rank injects its boundary traffic
+	// concurrently — so the network sees the world-wide phase volume and each rank pays its
 	// congestion share (same treatment as the migration phases; the
 	// replicated mode's rank-0 funnel shows up through its much larger
 	// totals). Callers without world totals fall back to the direct cost.

@@ -61,8 +61,8 @@ func (s *Solver) captureSnapshot(step int) {
 		mv2[c] += mass * v.Norm2()
 	}
 	red := s.Comm.AllreduceFloat64(acc, simmpi.OpSum)
-	// Replicate phi before reading it globally: a no-op in the legacy
-	// exchange modes, a collective gather in owner-local mode.
+	// Replicate phi before reading it globally: a no-op in replicated
+	// mode, a collective gather in owner-local mode.
 	s.dist.GatherPhi(s.Comm, s.phi)
 	if s.Comm.Rank() != 0 {
 		return

@@ -71,8 +71,8 @@ type inletFace struct {
 // modify).
 func (s *Solver) Owner() []int32 { return s.Bal.CellOwner }
 
-// Phi returns the latest nodal potential. In the legacy exchange modes
-// the vector is fully replicated after every solve; under
+// Phi returns the latest nodal potential. Under pic.ExchangeReplicated
+// the vector is fully replicated after every solve; under the default
 // pic.ExchangeOwnerLocal only owned and consumer nodes are fresh — call
 // s.dist.GatherPhi (collective) first when the full vector is needed, as
 // CaptureCheckpoint does.

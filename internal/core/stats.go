@@ -17,8 +17,8 @@ const (
 // Per-step gauge names (levels, not accumulating counters): the resident
 // footprint of the distributed Poisson solver on this rank
 // (pic.DistSolver.ResidentState), recorded once per step. In owner-local
-// mode these scale as O(nodes/P + ghosts); legacy modes report their
-// replicated O(nodes) state — the contrast bench schema v5 gates on.
+// mode these scale as O(nodes/P + ghosts); replicated mode adds its one
+// O(nodes) assembly buffer. Bench schema v5 gates on these.
 const (
 	GaugePoissonOwnedRows     = "Poisson_Mem_OwnedRows"
 	GaugePoissonGhostCols     = "Poisson_Mem_GhostCols"

@@ -8,6 +8,7 @@ import (
 	"github.com/plasma-hpc/dsmcpic/internal/core"
 	"github.com/plasma-hpc/dsmcpic/internal/dsmc"
 	"github.com/plasma-hpc/dsmcpic/internal/exchange"
+	"github.com/plasma-hpc/dsmcpic/internal/pic"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 )
 
@@ -52,6 +53,7 @@ func Fig5(steps int) (*Fig5Result, error) {
 		Reactions:        dsmc.DefaultHydrogenReactions(),
 		Cost:             datasetCostModel(DS1, commcost.Tianhe2, commcost.InnerFrame),
 		PoissonTol:       1e-6,
+		PoissonExchange:  pic.ExchangeReplicated, // paper structure, as in runner.go
 		InitialOwner:     owner,
 		Seed:             11,
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/plasma-hpc/dsmcpic/internal/dsmc"
 	"github.com/plasma-hpc/dsmcpic/internal/exchange"
 	"github.com/plasma-hpc/dsmcpic/internal/particle"
+	"github.com/plasma-hpc/dsmcpic/internal/pic"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
 )
 
@@ -72,6 +73,7 @@ func Validation(nRanks, steps, nCheckpoints int) (*ValidationResult, error) {
 			Reactions:        dsmc.DefaultHydrogenReactions(),
 			Cost:             datasetCostModel(DS1, commcost.Tianhe2, commcost.InnerFrame),
 			PoissonTol:       1e-6,
+			PoissonExchange:  pic.ExchangeReplicated, // paper structure, as in runner.go
 			Seed:             7,
 			OnStep: func(step int, s *core.Solver) {
 				ci := isCheckpoint(step)

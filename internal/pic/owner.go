@@ -2,32 +2,31 @@ package pic
 
 import (
 	"fmt"
-	"math"
+	"sort"
 
 	"github.com/plasma-hpc/dsmcpic/internal/mesh"
 	"github.com/plasma-hpc/dsmcpic/internal/simmpi"
-	"github.com/plasma-hpc/dsmcpic/internal/sparse"
 )
 
-// Owner-local Poisson (DESIGN.md §6j): the ExchangeOwnerLocal half of
-// DistSolver. The CG itself runs on a partition-local view — owned CSR
-// rows plus a ghost column layer (sparse.LocalCSR) and owned-length
-// vectors — while the two historically O(nodes) once-per-solve collectives
-// become boundary-proportional point-to-point exchanges:
+// Owner-local exchanges (DESIGN.md §6j): the ExchangeOwnerLocal half of
+// DistSolver's three exchanges. All three are boundary-proportional and
+// point-to-point:
 //
 //   - charge reduction: interior nodes have exactly one contributing rank,
 //     so only partition-boundary contributions travel, straight to the
 //     nodes' owners (TagChargeBoundary);
+//   - ghost refresh: each iteration ships only the owned entries other
+//     ranks' rows read (TagPoissonHalo);
 //   - phi assembly: converged potential goes only to the ranks whose owned
 //     fine cells read it — the deposit/field-gather consumer set
-//     (TagPhiConsumer). Full replication survives behind GatherPhi for
-//     diagnostics, checkpoints and legacy modes.
+//     (TagPhiConsumer). Full replication is on demand, behind GatherPhi,
+//     for diagnostics and checkpoints.
 
 // Traffic sub-phase labels for the owner-local once-per-solve exchanges.
-// solveOwnerLocal brackets its charge reduction and consumer assembly with
-// these (restoring the caller's phase), so benchmarks can attribute the
+// Solve brackets its charge reduction and consumer assembly with these
+// (restoring the caller's phase), so benchmarks can attribute the
 // boundary-proportional bytes separately from the per-iteration CG
-// traffic. Legacy modes never set them, keeping their byte streams
+// traffic. Replicated mode never sets them, keeping its byte stream
 // untouched.
 const (
 	PhasePoissonCharge   = "Poisson_Charge"
@@ -59,58 +58,73 @@ func NewDistSolverOwnerLocal(p *Poisson, nodeOwner, fineOwner []int32, nRanks, r
 			return nil, fmt.Errorf("pic: fine cell %d owned by invalid rank %d", c, r)
 		}
 	}
-	d, err := newDistBase(p, nodeOwner, nRanks, rank, ExchangeOwnerLocal)
-	if err != nil {
-		return nil, err
-	}
-	d.buildHalo(nRanks, rank)
-	if err := d.buildOwnerLocal(fineOwner, nRanks, rank); err != nil {
-		return nil, err
-	}
-	d.encBuf = make([]byte, 8*len(d.mine)) // GatherPhi owned-segment encode
-	return d, nil
+	return newDistSolver(p, nodeOwner, fineOwner, nRanks, rank, ExchangeOwnerLocal)
 }
 
-// buildOwnerLocal extracts the partition-local CSR view, translates the
-// halo lists into local ids, and derives the charge/consumer pairing from
-// fine-cell ownership.
-func (d *DistSolver) buildOwnerLocal(fineOwner []int32, nRanks, rank int) error {
-	var err error
-	d.local, err = sparse.NewLocalCSR(d.P.K, d.mine)
-	if err != nil {
-		return err
-	}
-	diag := d.local.DiagOwned()
-	d.invDiagL = make([]float64, len(diag))
-	for i, x := range diag {
-		if x != 0 {
-			d.invDiagL[i] = 1 / x
-		} else {
-			d.invDiagL[i] = 1
-		}
-	}
-	// Halo lists in local ids: send entries are owned nodes, recv entries
-	// are CSR ghost columns, so every translation must resolve.
-	d.sendIdxL = make([][]int32, nRanks)
-	d.recvIdxL = make([][]int32, nRanks)
-	for q := 0; q < nRanks; q++ {
-		if d.sendIdxL[q], err = localIds(d.local, d.sendIdx[q]); err != nil {
-			return fmt.Errorf("pic: halo send list to rank %d: %w", q, err)
-		}
-		if d.recvIdxL[q], err = localIds(d.local, d.recvIdx[q]); err != nil {
-			return fmt.Errorf("pic: halo recv list from rank %d: %w", q, err)
-		}
-	}
-
-	// Charge/consumer pairing. My consumer set is the nodes of my owned
-	// fine cells — exactly where DepositCharge writes and the field
-	// gather reads. One replicated pass over all fine cells gives both
-	// directions: rank A's chgSendG[B] and rank B's chgRecvG[A] are the
-	// same set ("nodes of A's cells owned by B") computed from the same
-	// tables, so the wire pairing agrees by construction.
+// buildHalo derives the per-neighbour ghost-refresh lists in local ids.
+// recvIdx comes straight from the ghost tail (sorted by global id); the
+// send side is one pass over the other ranks' rows of the global matrix,
+// which every rank holds, so both endpoints derive matching lists without
+// any structural-symmetry assumption or negotiation round.
+func (d *DistSolver) buildHalo(nRanks, rank int) {
 	me := int32(rank)
-	d.chgSendG = make([][]int32, nRanks)
-	d.chgRecvG = make([][]int32, nRanks)
+	nOwn := d.local.NumOwned()
+	d.recvIdx = make([][]int32, nRanks)
+	for li := nOwn; li < nOwn+d.local.NumGhost(); li++ {
+		q := d.Owner[d.local.LocalToGlobal(int32(li))]
+		d.recvIdx[q] = append(d.recvIdx[q], int32(li))
+	}
+	d.sendIdx = make([][]int32, nRanks)
+	k := d.P.K
+	for i, rowOwner := range d.Owner {
+		if rowOwner == me {
+			continue
+		}
+		for e := k.RowPtr[i]; e < k.RowPtr[i+1]; e++ {
+			if j := k.ColIdx[e]; d.Owner[j] == me {
+				d.sendIdx[rowOwner] = append(d.sendIdx[rowOwner], d.local.LocalOf(j))
+			}
+		}
+	}
+	d.sendBuf = make([][]byte, nRanks)
+	for q := 0; q < nRanks; q++ {
+		d.sendIdx[q] = sortUnique(d.sendIdx[q])
+		if len(d.sendIdx[q]) > 0 {
+			d.sendNbr = append(d.sendNbr, q)
+			d.sendBuf[q] = make([]byte, 8*len(d.sendIdx[q]))
+		}
+		if len(d.recvIdx[q]) > 0 {
+			d.recvNbr = append(d.recvNbr, q)
+		}
+	}
+}
+
+// sortUnique sorts ids ascending and drops duplicates in place.
+func sortUnique(ids []int32) []int32 {
+	if len(ids) == 0 {
+		return nil
+	}
+	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	out := ids[:1]
+	for _, v := range ids[1:] {
+		if v != out[len(out)-1] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// buildConsumers derives the charge/consumer pairing from fine-cell
+// ownership. My consumer set is the nodes of my owned fine cells — exactly
+// where DepositCharge writes and the field gather reads. One replicated
+// pass over all fine cells gives both directions: rank A's chgSend[B] and
+// rank B's chgRecv[A] are the same set ("nodes of A's cells owned by B")
+// computed from the same tables, so the wire pairing agrees by
+// construction.
+func (d *DistSolver) buildConsumers(fineOwner []int32, nRanks, rank int) {
+	me := int32(rank)
+	d.chgSend = make([][]int32, nRanks)
+	d.chgRecv = make([][]int32, nRanks)
 	cells := d.P.Fine.Cells
 	for fc := range cells {
 		fo := fineOwner[fc]
@@ -118,77 +132,37 @@ func (d *DistSolver) buildOwnerLocal(fineOwner []int32, nRanks, rank int) error 
 			no := d.Owner[n]
 			switch {
 			case fo == me && no != me:
-				d.chgSendG[no] = append(d.chgSendG[no], n)
+				d.chgSend[no] = append(d.chgSend[no], n)
 			case fo != me && no == me:
-				d.chgRecvG[fo] = append(d.chgRecvG[fo], n)
+				d.chgRecv[fo] = append(d.chgRecv[fo], d.local.LocalOf(n))
 			}
 		}
 	}
-	d.chgRecvL = make([][]int32, nRanks)
 	d.chgSendBuf = make([][]byte, nRanks)
 	d.phiSendBuf = make([][]byte, nRanks)
 	for q := 0; q < nRanks; q++ {
-		d.chgSendG[q] = sortUnique(d.chgSendG[q])
-		d.chgRecvG[q] = sortUnique(d.chgRecvG[q])
-		if len(d.chgSendG[q]) > 0 {
+		d.chgSend[q] = sortUnique(d.chgSend[q])
+		d.chgRecv[q] = sortUnique(d.chgRecv[q])
+		if len(d.chgSend[q]) > 0 {
 			d.chgSendNbr = append(d.chgSendNbr, q)
-			d.chgSendBuf[q] = make([]byte, 8*len(d.chgSendG[q]))
+			d.chgSendBuf[q] = make([]byte, 8*len(d.chgSend[q]))
 		}
-		if len(d.chgRecvG[q]) > 0 {
+		if len(d.chgRecv[q]) > 0 {
 			d.chgRecvNbr = append(d.chgRecvNbr, q)
-			d.phiSendBuf[q] = make([]byte, 8*len(d.chgRecvG[q]))
-			if d.chgRecvL[q], err = localIds(d.local, d.chgRecvG[q]); err != nil {
-				return fmt.Errorf("pic: charge recv list from rank %d: %w", q, err)
-			}
+			d.phiSendBuf[q] = make([]byte, 8*len(d.chgRecv[q]))
 		}
 	}
-
-	nOwn := d.local.NumOwned()
-	tot := nOwn + d.local.NumGhost()
-	d.bL = make([]float64, nOwn)
-	d.rL = make([]float64, nOwn)
-	d.zL = make([]float64, nOwn)
-	d.apL = make([]float64, nOwn)
-	d.chgL = make([]float64, nOwn)
-	d.pL = make([]float64, tot)
-	d.xL = make([]float64, tot)
-	return nil
-}
-
-// localIds translates a global index list through the local CSR's map; a
-// node outside the owned+ghost set is a construction bug, not a runtime
-// condition, and is reported as an error.
-func localIds(l *sparse.LocalCSR, g []int32) ([]int32, error) {
-	if len(g) == 0 {
-		return nil, nil
-	}
-	out := make([]int32, len(g))
-	for k, gg := range g {
-		li := l.LocalOf(gg)
-		if li < 0 {
-			return nil, fmt.Errorf("global node %d not in the partition-local view", gg)
-		}
-		out[k] = li
-	}
-	return out, nil
-}
-
-// dotOwned computes sum over the first n entries of a[i]*b[i] — the
-// owner-local counterpart of dotAt over the same nodes in the same order.
-//
-//commvet:hot
-func dotOwned(n int, a, b []float64) float64 {
-	var s float64
-	for i := 0; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // spreadOwnerLocal refreshes the ghost tail of a local vector from the
-// owners, with the same deadlock-free two-round schedule as haloExchange
-// but index lists in local ids (sends gather from the owned prefix,
-// receives scatter into the ghost tail). It reuses the halo send buffers.
+// owners, shipping only the index-listed boundary entries between
+// neighbours in the two ordered rounds of the distributed particle
+// exchange (paper §IV-B2): round 1 moves low→high pairs (send to higher
+// neighbours ascending, then drain lower neighbours ascending), round 2
+// moves high→low. Sends gather from the owned prefix, receives scatter
+// into the ghost tail. Sends are posted before the round's receives —
+// simmpi sends never block, matching eager/Isend semantics for these
+// small boundary payloads — so the schedule cannot deadlock.
 //
 //commvet:hot
 func (d *DistSolver) spreadOwnerLocal(comm *simmpi.Comm, vec []float64) {
@@ -196,31 +170,31 @@ func (d *DistSolver) spreadOwnerLocal(comm *simmpi.Comm, vec []float64) {
 	// Round 1: low -> high.
 	for _, q := range d.sendNbr {
 		if q > me {
-			d.sendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.sendBuf[q], vec, d.sendIdxL[q])
+			d.sendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.sendBuf[q], vec, d.sendIdx[q])
 			comm.Send(q, simmpi.TagPoissonHalo, d.sendBuf[q])
 		}
 	}
 	for _, q := range d.recvNbr {
 		if q < me {
-			simmpi.DecodeFloat64sScatter(vec, d.recvIdxL[q], comm.Recv(q, simmpi.TagPoissonHalo))
+			simmpi.DecodeFloat64sScatter(vec, d.recvIdx[q], comm.Recv(q, simmpi.TagPoissonHalo))
 		}
 	}
 	// Round 2: high -> low.
 	for _, q := range d.sendNbr {
 		if q < me {
-			d.sendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.sendBuf[q], vec, d.sendIdxL[q])
+			d.sendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.sendBuf[q], vec, d.sendIdx[q])
 			comm.Send(q, simmpi.TagPoissonHalo, d.sendBuf[q])
 		}
 	}
 	for _, q := range d.recvNbr {
 		if q > me {
-			simmpi.DecodeFloat64sScatter(vec, d.recvIdxL[q], comm.Recv(q, simmpi.TagPoissonHalo))
+			simmpi.DecodeFloat64sScatter(vec, d.recvIdx[q], comm.Recv(q, simmpi.TagPoissonHalo))
 		}
 	}
 }
 
 // reduceChargeBoundary performs the boundary-only charge reduction into
-// chgL: the owned prefix is seeded from this rank's own deposits, then
+// chg: the owned prefix is seeded from this rank's own deposits, then
 // neighbour contributions at shared partition-boundary nodes are
 // scatter-added in ascending-rank order (a fixed, deterministic summation
 // order: own contribution first, then contributors by rank). All sends are
@@ -228,14 +202,14 @@ func (d *DistSolver) spreadOwnerLocal(comm *simmpi.Comm, vec []float64) {
 // cannot deadlock.
 func (d *DistSolver) reduceChargeBoundary(comm *simmpi.Comm, nodeChargeLocal []float64) {
 	for li, g := range d.mine {
-		d.chgL[li] = nodeChargeLocal[g]
+		d.chg[li] = nodeChargeLocal[g]
 	}
 	for _, q := range d.chgSendNbr {
-		d.chgSendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.chgSendBuf[q], nodeChargeLocal, d.chgSendG[q])
+		d.chgSendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.chgSendBuf[q], nodeChargeLocal, d.chgSend[q])
 		comm.Send(q, simmpi.TagChargeBoundary, d.chgSendBuf[q])
 	}
 	for _, q := range d.chgRecvNbr {
-		simmpi.DecodeFloat64sScatterAdd(d.chgL, d.chgRecvL[q], comm.Recv(q, simmpi.TagChargeBoundary))
+		simmpi.DecodeFloat64sScatterAdd(d.chg, d.chgRecv[q], comm.Recv(q, simmpi.TagChargeBoundary))
 	}
 }
 
@@ -246,132 +220,30 @@ func (d *DistSolver) reduceChargeBoundary(comm *simmpi.Comm, nodeChargeLocal []f
 // GatherPhi before reading phi globally).
 func (d *DistSolver) assembleOwnerLocal(comm *simmpi.Comm, phi []float64) {
 	for li, g := range d.mine {
-		phi[g] = d.xL[li]
+		phi[g] = d.x[li]
 	}
 	prev := comm.Phase()
 	comm.SetPhase(PhasePoissonAssemble)
 	for _, q := range d.chgRecvNbr { // ranks whose cells read nodes I own
-		d.phiSendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.phiSendBuf[q], d.xL, d.chgRecvL[q])
+		d.phiSendBuf[q] = simmpi.EncodeFloat64sGatherInto(d.phiSendBuf[q], d.x, d.chgRecv[q])
 		comm.Send(q, simmpi.TagPhiConsumer, d.phiSendBuf[q])
 	}
 	for _, q := range d.chgSendNbr { // owners of my consumer ghosts
-		simmpi.DecodeFloat64sScatter(phi, d.chgSendG[q], comm.Recv(q, simmpi.TagPhiConsumer))
+		simmpi.DecodeFloat64sScatter(phi, d.chgSend[q], comm.Recv(q, simmpi.TagPhiConsumer))
 	}
 	comm.SetPhase(prev)
-}
-
-// solveOwnerLocal is Solve in ExchangeOwnerLocal mode. The CG iterates are
-// the identical floating-point sequence of the halo path over the same
-// owned rows in the same order (LocalCSR preserves per-row entry order and
-// owned local ids follow ascending global order), so given the same
-// right-hand side the iterates match bitwise; only the boundary-node
-// charge summation order differs from the legacy full-vector allreduce,
-// which bounds the phi deviation at the 1e-8 level the equivalence tests
-// pin.
-func (d *DistSolver) solveOwnerLocal(comm *simmpi.Comm, nodeChargeLocal, phi []float64, opts sparse.SolveOptions) (sparse.SolveResult, error) {
-	nOwn := d.local.NumOwned()
-	prev := comm.Phase()
-	comm.SetPhase(PhasePoissonCharge)
-	d.reduceChargeBoundary(comm, nodeChargeLocal)
-	comm.SetPhase(prev)
-
-	// Owned right-hand side (RHSInto restricted to owned rows).
-	p := d.P
-	for li, g := range d.mine {
-		if p.IsDirichlet[g] {
-			d.bL[li] = p.DirichletVal[g]
-			continue
-		}
-		v := d.chgL[li] / Epsilon0
-		for _, cp := range p.couplings[g] {
-			v -= cp.k * p.DirichletVal[cp.node]
-		}
-		d.bL[li] = v
-	}
-
-	// Initial guess: owned entries carry over from the previous solve via
-	// phi; the CSR ghost tail (which can exceed the consumer set phi
-	// keeps fresh) is refreshed from the owners explicitly.
-	for li, g := range d.mine {
-		d.xL[li] = phi[g]
-	}
-	d.spreadOwnerLocal(comm, d.xL)
-
-	// r = b - K x on owned rows.
-	d.local.MulVecOwned(d.apL, d.xL)
-	for i := 0; i < nOwn; i++ {
-		d.rL[i] = d.bL[i] - d.apL[i]
-	}
-	for i := 0; i < nOwn; i++ {
-		d.zL[i] = d.invDiagL[i] * d.rL[i]
-		d.pL[i] = d.zL[i]
-	}
-	d.red[0] = dotOwned(nOwn, d.bL, d.bL)
-	d.red[1] = dotOwned(nOwn, d.rL, d.rL)
-	d.red[2] = dotOwned(nOwn, d.rL, d.zL)
-	sums := comm.AllreduceFloat64(d.red[:3], simmpi.OpSum)
-	bnorm := math.Sqrt(sums[0])
-	if bnorm == 0 {
-		for i := range d.xL {
-			d.xL[i] = 0
-		}
-		d.assembleOwnerLocal(comm, phi)
-		return sparse.SolveResult{Converged: true}, nil
-	}
-	rr, rz := sums[1], sums[2]
-	d.spreadOwnerLocal(comm, d.pL)
-	it := 0
-	for ; it < opts.MaxIter; it++ {
-		res := math.Sqrt(rr) / bnorm
-		if res <= opts.Tol {
-			d.assembleOwnerLocal(comm, phi)
-			return sparse.SolveResult{Iterations: it, Residual: res, Converged: true}, nil
-		}
-		d.local.MulVecOwned(d.apL, d.pL)
-		d.red[0] = dotOwned(nOwn, d.pL, d.apL)
-		pap := comm.AllreduceFloat64(d.red[:1], simmpi.OpSum)[0]
-		if pap <= 0 {
-			// pap is an allreduce result, bitwise identical on every rank,
-			// so all ranks take this exit together.
-			return sparse.SolveResult{Iterations: it, Residual: res},
-				fmt.Errorf("pic: distributed CG breakdown (pAp=%g)", pap)
-		}
-		alpha := rz / pap
-		for i := 0; i < nOwn; i++ {
-			d.xL[i] += alpha * d.pL[i]
-			d.rL[i] -= alpha * d.apL[i]
-			d.zL[i] = d.invDiagL[i] * d.rL[i]
-		}
-		d.red[0] = dotOwned(nOwn, d.rL, d.rL)
-		d.red[1] = dotOwned(nOwn, d.rL, d.zL)
-		sums := comm.AllreduceFloat64(d.red[:2], simmpi.OpSum)
-		rr = sums[0]
-		rzNew := sums[1]
-		beta := rzNew / rz
-		rz = rzNew
-		for i := 0; i < nOwn; i++ {
-			d.pL[i] = d.zL[i] + beta*d.pL[i]
-		}
-		d.spreadOwnerLocal(comm, d.pL)
-	}
-	res := math.Sqrt(rr) / bnorm
-	d.assembleOwnerLocal(comm, phi)
-	return sparse.SolveResult{Iterations: it, Residual: res}, nil
 }
 
 // GatherPhi replicates phi on every rank — the explicit on-demand gather
 // behind diagnostics, VTK output and checkpoint capture in owner-local
-// mode. Legacy modes keep phi replicated after every Solve, so the call is
-// a communication-free no-op there. All ranks must call collectively in
-// owner-local mode.
+// mode. Replicated mode keeps phi replicated after every Solve, so the
+// call is a communication-free no-op there. All ranks must call
+// collectively in owner-local mode.
 func (d *DistSolver) GatherPhi(comm *simmpi.Comm, phi []float64) {
-	if d.Mode != ExchangeOwnerLocal {
+	if d.Mode == ExchangeReplicated {
 		return
 	}
-	for k, g := range d.mine {
-		d.scratch[k] = phi[g]
-	}
-	d.encBuf = simmpi.EncodeFloat64sInto(d.encBuf, d.scratch)
+	d.encBuf = simmpi.EncodeFloat64sGatherInto(d.encBuf, phi, d.mine)
 	parts := comm.Allgatherv(d.encBuf)
 	for q, ids := range d.ownedByRank {
 		if q == comm.Rank() {
@@ -381,38 +253,13 @@ func (d *DistSolver) GatherPhi(comm *simmpi.Comm, phi []float64) {
 	}
 }
 
-// ChargeSendNodes returns the global ids of this rank's deposit-touched
-// nodes owned by rank q — the charge-out / phi-in pairing list (do not
-// modify; nil outside owner-local mode).
-func (d *DistSolver) ChargeSendNodes(q int) []int32 {
-	if d.chgSendG == nil {
-		return nil
-	}
-	return d.chgSendG[q]
-}
-
-// ChargeRecvNodes returns the global ids of this rank's owned nodes that
-// rank q's fine cells touch — the charge-in / phi-out pairing list (do not
-// modify; nil outside owner-local mode).
-func (d *DistSolver) ChargeRecvNodes(q int) []int32 {
-	if d.chgRecvG == nil {
-		return nil
-	}
-	return d.chgRecvG[q]
-}
-
-// Local returns the partition-local CSR view (nil outside owner-local
-// mode).
-func (d *DistSolver) Local() *sparse.LocalCSR { return d.local }
-
 // ResidentState is the per-rank resident solver footprint backing the
 // metrics gauges and bench schema v5: what this rank keeps in memory for
 // the Poisson solve, split into matrix storage, solver vectors and
-// local⇄global/index-list maps. In owner-local mode every term is
-// O(nodes/P + ghosts); legacy modes report their replicated O(nodes)
-// state. (The mesh, ownership tables and the assembly-time global K —
-// shared with the rest of the solver and all modes — are outside this
-// scope; see DESIGN.md §6j.)
+// local⇄global/index-list maps. Every term is O(nodes/P + ghosts) except
+// replicated mode's full-length assembly buffer. (The mesh, ownership
+// tables and the assembly-time global K — shared with the rest of the
+// solver — are outside this scope; see DESIGN.md §6j.)
 type ResidentState struct {
 	OwnedRows     int
 	GhostCols     int
@@ -428,31 +275,15 @@ func (rs ResidentState) TotalBytes() int64 {
 
 // ResidentState reports this solver's resident footprint (see the type).
 func (d *DistSolver) ResidentState() ResidentState {
-	st := ResidentState{OwnedRows: len(d.mine)}
-	if d.Mode == ExchangeOwnerLocal {
-		st.GhostCols = d.local.NumGhost()
-		st.MatrixBytes = d.local.MatrixBytes()
-		st.VectorBytes = 8 * int64(len(d.bL)+len(d.rL)+len(d.zL)+len(d.apL)+
-			len(d.chgL)+len(d.pL)+len(d.xL)+len(d.invDiagL)+len(d.scratch))
-		st.IndexMapBytes = d.local.IndexMapBytes() +
-			idxListBytes(d.sendIdx) + idxListBytes(d.recvIdx) +
-			idxListBytes(d.sendIdxL) + idxListBytes(d.recvIdxL) +
-			idxListBytes(d.chgSendG) + idxListBytes(d.chgRecvG) + idxListBytes(d.chgRecvL)
-		return st
+	return ResidentState{
+		OwnedRows:   len(d.mine),
+		GhostCols:   d.local.NumGhost(),
+		MatrixBytes: d.local.MatrixBytes(),
+		VectorBytes: 8 * int64(len(d.b)+len(d.r)+len(d.z)+len(d.ap)+len(d.chg)+
+			len(d.p)+len(d.x)+len(d.invDiag)+len(d.full)),
+		IndexMapBytes: d.local.IndexMapBytes() + idxListBytes(d.sendIdx) + idxListBytes(d.recvIdx) +
+			idxListBytes(d.chgSend) + idxListBytes(d.chgRecv),
 	}
-	k := d.P.K
-	st.MatrixBytes = int64(4*len(k.RowPtr) + 4*len(k.ColIdx) + 8*len(k.Val))
-	st.VectorBytes = 8 * int64(len(d.b)+len(d.r)+len(d.z)+len(d.p)+len(d.ap)+
-		len(d.invDiag)+len(d.scratch)+len(d.fullBuf))
-	if d.Mode == ExchangeHalo {
-		for _, ids := range d.recvIdx {
-			st.GhostCols += len(ids)
-		}
-		st.IndexMapBytes = idxListBytes(d.sendIdx) + idxListBytes(d.recvIdx)
-	} else {
-		st.GhostCols = d.P.Fine.NumNodes() - len(d.mine)
-	}
-	return st
 }
 
 // idxListBytes sums the storage of a per-rank index-list table.

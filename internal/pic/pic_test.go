@@ -281,10 +281,10 @@ func TestDistSolverMatchesSerial(t *testing.T) {
 	}
 	// Split each node's charge evenly across the ranks whose fine cells
 	// touch it — the support DepositCharge actually produces, which the
-	// owner-local boundary reduction relies on (legacy allreduce sums any
-	// split, so the same one serves all three modes).
+	// owner-local boundary reduction relies on (the replicated allreduce
+	// sums any split, so the same one serves both modes).
 	splitCharge := depositSplit(ref, charge, fineOwners, nRanks)
-	for _, mode := range []ExchangeMode{ExchangeHalo, ExchangeReplicated, ExchangeOwnerLocal} {
+	for _, mode := range []ExchangeMode{ExchangeOwnerLocal, ExchangeReplicated} {
 		t.Run(mode.String(), func(t *testing.T) {
 			world := simmpi.NewWorld(nRanks, simmpi.Options{})
 			results := make([][]float64, nRanks)
@@ -326,10 +326,10 @@ func TestDistSolverRejectsBadOwnership(t *testing.T) {
 	}
 	owners := make([]int32, ref.Fine.NumNodes())
 	owners[0] = 99
-	if _, err := NewDistSolver(p, owners, 2, 0, ExchangeHalo); err == nil {
+	if _, err := NewDistSolver(p, owners, 2, 0, ExchangeReplicated); err == nil {
 		t.Error("invalid owner accepted")
 	}
-	if _, err := NewDistSolver(p, owners[:3], 2, 0, ExchangeHalo); err == nil {
+	if _, err := NewDistSolver(p, owners[:3], 2, 0, ExchangeReplicated); err == nil {
 		t.Error("short owner table accepted")
 	}
 	good := make([]int32, ref.Fine.NumNodes())
@@ -406,86 +406,11 @@ func plumeRefinement(t testing.TB) *mesh.Refinement {
 	return ref
 }
 
-// TestHaloReplicatedEquivalencePlume pins the tentpole guarantee on the
-// plume case: the halo and replicated exchanges converge to the same
-// potential (within 1e-8) at 1, 2 and 4 ranks, and at 4 ranks the halo's
-// per-solve Poisson traffic is at least 5x smaller in bytes.
-func TestHaloReplicatedEquivalencePlume(t *testing.T) {
-	ref := plumeRefinement(t)
-	p, err := NewPoisson(ref.Fine, DefaultBC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(7, 0)
-	charge := make([]float64, ref.Fine.NumNodes())
-	for n := range charge {
-		if !p.IsDirichlet[n] {
-			charge[n] = 1e-13 * r.Float64()
-		}
-	}
-	solve := func(nRanks int, mode ExchangeMode) ([]float64, simmpi.PhaseStats) {
-		t.Helper()
-		coarseOwner := make([]int32, ref.Coarse.NumCells())
-		for c := range coarseOwner {
-			coarseOwner[c] = int32(c * nRanks / len(coarseOwner))
-		}
-		owners := NodeOwners(ref, coarseOwner)
-		world := simmpi.NewWorld(nRanks, simmpi.Options{})
-		var phi0 []float64
-		err := world.Run(func(comm *simmpi.Comm) {
-			ds, err := NewDistSolver(p, owners, nRanks, comm.Rank(), mode)
-			if err != nil {
-				panic(err)
-			}
-			comm.SetPhase("Poisson_Solve")
-			phi := make([]float64, len(charge))
-			res, err := ds.Solve(comm, charge, phi, sparse.SolveOptions{Tol: 1e-10})
-			if err != nil {
-				panic(err)
-			}
-			if !res.Converged {
-				panic("CG did not converge")
-			}
-			if comm.Rank() == 0 {
-				phi0 = phi
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total, _ := simmpi.AggregatePhase(world.Counters(), "Poisson_Solve")
-		return phi0, total
-	}
-	for _, nRanks := range []int{1, 2, 4} {
-		phiHalo, trHalo := solve(nRanks, ExchangeHalo)
-		phiRepl, trRepl := solve(nRanks, ExchangeReplicated)
-		scale := 0.0
-		for _, v := range phiRepl {
-			scale = math.Max(scale, math.Abs(v))
-		}
-		for n := range phiRepl {
-			if math.Abs(phiHalo[n]-phiRepl[n]) > 1e-8*scale+1e-18 {
-				t.Fatalf("ranks=%d node %d: halo %v vs replicated %v", nRanks, n, phiHalo[n], phiRepl[n])
-			}
-		}
-		t.Logf("ranks=%d: halo %d msgs / %d bytes, replicated %d msgs / %d bytes",
-			nRanks, trHalo.Messages, trHalo.Bytes, trRepl.Messages, trRepl.Bytes)
-		if nRanks == 1 && trHalo.Messages != 0 {
-			// A single rank has no neighbours; nothing must hit the wire
-			// on the iteration path (the charge allreduce and assembly are
-			// rank-local no-sends at size 1).
-			t.Errorf("single-rank halo sent %d messages", trHalo.Messages)
-		}
-		if nRanks == 4 && trHalo.Bytes*5 > trRepl.Bytes {
-			t.Errorf("ranks=4: halo bytes %d not >=5x below replicated %d", trHalo.Bytes, trRepl.Bytes)
-		}
-	}
-}
-
-// TestHaloIndexListsConsistent checks the VecScatter structure on the
-// 4-rank plume partition: every pairing agrees across ranks (A ships to B
-// exactly what B expects from A), receives cover exactly the off-owner
-// columns of owned rows, and sends only ever carry owned nodes.
+// TestHaloIndexListsConsistent checks the ghost-refresh (VecScatter)
+// lists on the 4-rank plume partition, compared through each rank's
+// local⇄global map: every pairing agrees across ranks (A ships to B
+// exactly what B expects from A, in the same order), receives cover
+// exactly the ghost tail, and sends only ever carry owned nodes.
 func TestHaloIndexListsConsistent(t *testing.T) {
 	ref := plumeRefinement(t)
 	p, err := NewPoisson(ref.Fine, DefaultBC())
@@ -493,16 +418,21 @@ func TestHaloIndexListsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nRanks = 4
-	coarseOwner := make([]int32, ref.Coarse.NumCells())
-	for c := range coarseOwner {
-		coarseOwner[c] = int32(c * nRanks / len(coarseOwner))
-	}
+	coarseOwner := blockPartition(ref, nRanks)
 	owners := NodeOwners(ref, coarseOwner)
+	fineOwners := FineCellOwners(ref, coarseOwner)
 	solvers := make([]*DistSolver, nRanks)
 	for rk := range solvers {
-		if solvers[rk], err = NewDistSolver(p, owners, nRanks, rk, ExchangeHalo); err != nil {
+		if solvers[rk], err = NewDistSolverOwnerLocal(p, owners, fineOwners, nRanks, rk); err != nil {
 			t.Fatal(err)
 		}
+	}
+	global := func(d *DistSolver, ids []int32) []int32 {
+		out := make([]int32, len(ids))
+		for k, li := range ids {
+			out[k] = d.local.LocalToGlobal(li)
+		}
+		return out
 	}
 	anyPair := false
 	for a := 0; a < nRanks; a++ {
@@ -510,7 +440,8 @@ func TestHaloIndexListsConsistent(t *testing.T) {
 			if a == bk {
 				continue
 			}
-			send, recv := solvers[a].HaloSendIdx(bk), solvers[bk].HaloRecvIdx(a)
+			send := global(solvers[a], solvers[a].sendIdx[bk])
+			recv := global(solvers[bk], solvers[bk].recvIdx[a])
 			if len(send) != len(recv) {
 				t.Fatalf("rank %d sends %d nodes to %d, which expects %d", a, len(send), bk, len(recv))
 			}
@@ -530,35 +461,23 @@ func TestHaloIndexListsConsistent(t *testing.T) {
 	if !anyPair {
 		t.Fatal("no halo pair on a 4-rank partition — boundary detection broken")
 	}
-	// Ghost coverage: rank 0's receives are exactly the off-owner columns
-	// of its owned rows.
-	want := map[int32]bool{}
-	k := p.K
-	for i, o := range owners {
-		if o != 0 {
-			continue
-		}
-		for e := k.RowPtr[i]; e < k.RowPtr[i+1]; e++ {
-			if j := k.ColIdx[e]; owners[j] != 0 {
-				want[j] = true
+	// Ghost coverage: each rank's receives are exactly its ghost tail,
+	// each listed under the ghost's owner.
+	for rk, d := range solvers {
+		got := 0
+		for q := 0; q < nRanks; q++ {
+			for _, li := range d.recvIdx[q] {
+				if li < int32(d.local.NumOwned()) {
+					t.Fatalf("rank %d receives into owned slot %d", rk, li)
+				}
+				if g := d.local.LocalToGlobal(li); owners[g] != int32(q) {
+					t.Fatalf("rank %d: ghost %d listed under rank %d but owned by %d", rk, g, q, owners[g])
+				}
+				got++
 			}
 		}
-	}
-	got := map[int32]bool{}
-	for q := 0; q < nRanks; q++ {
-		for _, j := range solvers[0].HaloRecvIdx(q) {
-			if owners[j] != int32(q) {
-				t.Fatalf("ghost %d listed under rank %d but owned by %d", j, q, owners[j])
-			}
-			got[j] = true
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("rank 0 ghosts: got %d nodes, want %d", len(got), len(want))
-	}
-	for j := range want {
-		if !got[j] {
-			t.Fatalf("ghost node %d missing from recv lists", j)
+		if got != d.local.NumGhost() {
+			t.Fatalf("rank %d: recv lists cover %d slots for %d ghosts", rk, got, d.local.NumGhost())
 		}
 	}
 }
@@ -580,9 +499,10 @@ func TestDistSolverDefaultTol(t *testing.T) {
 		}
 	}
 	owners := make([]int32, ref.Fine.NumNodes())
+	fineOwners := make([]int32, ref.Fine.NumCells())
 	world := simmpi.NewWorld(1, simmpi.Options{})
 	err = world.Run(func(comm *simmpi.Comm) {
-		ds, err := NewDistSolver(p, owners, 1, 0, ExchangeHalo)
+		ds, err := NewDistSolverOwnerLocal(p, owners, fineOwners, 1, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -603,18 +523,20 @@ func TestDistSolverDefaultTol(t *testing.T) {
 	}
 }
 
-// TestParseExchangeMode pins the flag spellings.
+// TestParseExchangeMode pins the flag spellings and the default.
 func TestParseExchangeMode(t *testing.T) {
-	for _, mode := range []ExchangeMode{ExchangeHalo, ExchangeReplicated, ExchangeOwnerLocal} {
+	for _, mode := range []ExchangeMode{ExchangeOwnerLocal, ExchangeReplicated} {
 		got, err := ParseExchangeMode(mode.String())
 		if err != nil || got != mode {
 			t.Errorf("round-trip of %v: got %v, err %v", mode, got, err)
 		}
 	}
-	if _, err := ParseExchangeMode("gatherv"); err == nil {
-		t.Error("bad mode accepted")
+	for _, bad := range []string{"gatherv", "halo", ""} {
+		if _, err := ParseExchangeMode(bad); err == nil {
+			t.Errorf("bad mode %q accepted", bad)
+		}
 	}
-	if ExchangeMode(0) != ExchangeHalo {
-		t.Error("zero value must be the halo default")
+	if ExchangeMode(0) != ExchangeOwnerLocal {
+		t.Error("zero value must be the owner-local default")
 	}
 }

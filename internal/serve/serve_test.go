@@ -66,10 +66,10 @@ func TestSpecKeyExcludesPriority(t *testing.T) {
 	}
 	// Every exchange mode is a valid spec and a distinct cache key.
 	e := testSpec(1)
-	e.PoissonExchange = "owner"
+	e.PoissonExchange = "replicated"
 	en, err := e.Normalized()
 	if err != nil {
-		t.Fatalf("owner poisson_exchange rejected: %v", err)
+		t.Fatalf("replicated poisson_exchange rejected: %v", err)
 	}
 	if en.Key() == a.Key() {
 		t.Fatal("exchange mode missing from the cache key")
@@ -591,7 +591,8 @@ func TestInvalidSpecRejected(t *testing.T) {
 		{Case: "conical"}, // missing outlet radius
 		{Strategy: "mpi"},
 		{PoissonExchange: "quantum"},
-		{Ranks: 64}, // over MaxRanks
+		{PoissonExchange: "halo"}, // removed mode
+		{Ranks: 64},               // over MaxRanks
 	}
 	for i, spec := range cases {
 		if _, err := s.Submit(spec); err == nil {

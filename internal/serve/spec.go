@@ -84,7 +84,7 @@ type JobSpec struct {
 
 	// Parallelization knobs.
 	Strategy        string  `json:"strategy,omitempty"`         // "dc" (default) or "cc"
-	PoissonExchange string  `json:"poisson_exchange,omitempty"` // "halo" (default), "replicated" or "owner"
+	PoissonExchange string  `json:"poisson_exchange,omitempty"` // "owner" (default) or "replicated"
 	PoissonTol      float64 `json:"poisson_tol,omitempty"`      // default 1e-6
 	NoLB            bool    `json:"no_lb,omitempty"`            // disable the dynamic load balancer
 	LBT             int     `json:"lb_t,omitempty"`             // balance check interval (default 5)
@@ -169,12 +169,11 @@ func (s JobSpec) Normalized() (JobSpec, error) {
 	default:
 		return s, fmt.Errorf("serve: unknown strategy %q (want dc or cc)", s.Strategy)
 	}
-	switch s.PoissonExchange {
-	case "":
-		s.PoissonExchange = "halo"
-	case "halo", "replicated", "owner":
-	default:
-		return s, fmt.Errorf("serve: unknown poisson_exchange %q (want halo, replicated or owner)", s.PoissonExchange)
+	if s.PoissonExchange == "" {
+		s.PoissonExchange = pic.ExchangeOwnerLocal.String()
+	}
+	if _, err := pic.ParseExchangeMode(s.PoissonExchange); err != nil {
+		return s, fmt.Errorf("serve: poisson_exchange: %w", err)
 	}
 	if s.PoissonTol < 0 {
 		return s, fmt.Errorf("serve: poisson_tol must be positive")
@@ -256,12 +255,9 @@ func (s JobSpec) BuildConfig() (core.Config, error) {
 	if s.Strategy == "cc" {
 		strat = exchange.Centralized
 	}
-	exMode := pic.ExchangeHalo
-	switch s.PoissonExchange {
-	case "replicated":
-		exMode = pic.ExchangeReplicated
-	case "owner":
-		exMode = pic.ExchangeOwnerLocal
+	exMode, err := pic.ParseExchangeMode(s.PoissonExchange)
+	if err != nil {
+		return core.Config{}, err
 	}
 	cfg := core.Config{
 		Ref:              ref,

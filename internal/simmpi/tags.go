@@ -34,11 +34,11 @@ const (
 	TagCheckpointGather = TagCheckpointBase + 0
 
 	// TagPoissonBase..TagPoissonBase+0xff: distributed Poisson solver
-	// (internal/pic halo exchange).
+	// (internal/pic distributed CG).
 	TagPoissonBase = 0x300
 	// TagPoissonHalo carries boundary (ghost-node) entries of the CG
-	// search direction between neighbouring row blocks in the halo
-	// exchange's two ordered rounds.
+	// search direction between neighbouring row blocks in the owner-local
+	// ghost refresh's two ordered rounds.
 	TagPoissonHalo = TagPoissonBase + 0
 	// TagChargeBoundary carries per-neighbour partial nodal charges in the
 	// owner-local solver's boundary-only charge reduction: each rank ships

@@ -1,8 +1,8 @@
-// Package sparse provides compressed sparse row (CSR) matrices and Krylov
-// subspace solvers (CG, BiCGSTAB) with simple preconditioners. It replaces
-// the PETSc KSP dependency of the paper's solver: the PIC Poisson equation
-// is discretized into K*phi = b with K in CSR format (paper §IV-C) and
-// solved iteratively.
+// Package sparse provides compressed sparse row (CSR) matrices and a
+// preconditioned conjugate-gradient solver with simple preconditioners. It
+// replaces the PETSc KSP dependency of the paper's solver: the PIC Poisson
+// equation is discretized into K*phi = b with K symmetric positive
+// definite in CSR format (paper §IV-C) and solved iteratively.
 package sparse
 
 import (

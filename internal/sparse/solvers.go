@@ -45,8 +45,8 @@ func (p *JacobiPrecond) Apply(dst, r []float64) {
 }
 
 // DefaultTol is the default relative-residual convergence tolerance shared
-// by every Krylov solver in the repository — sparse.CG, sparse.BiCGSTAB and
-// the distributed pic.DistSolver all fall back to it when SolveOptions.Tol
+// by every Krylov solver in the repository — sparse.CG and the distributed
+// pic.DistSolver both fall back to it when SolveOptions.Tol
 // is zero, so "solver default accuracy" means one number everywhere.
 // (Simulation configs may still choose a looser application-level
 // tolerance explicitly, e.g. core.Config.PoissonTol.)
@@ -152,86 +152,6 @@ func CG(a *CSR, b, x []float64, opts SolveOptions) (SolveResult, error) {
 		rz = rzNew
 		for i := range p {
 			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return SolveResult{Iterations: o.MaxIter, Residual: norm2(r) / bnorm}, nil
-}
-
-// BiCGSTAB solves A x = b for general (non-symmetric) A. x is used as the
-// initial guess and overwritten.
-func BiCGSTAB(a *CSR, b, x []float64, opts SolveOptions) (SolveResult, error) {
-	n := a.N
-	if len(b) != n || len(x) != n {
-		return SolveResult{}, fmt.Errorf("sparse: BiCGSTAB dimension mismatch")
-	}
-	o := opts.WithDefaults(n)
-	r := make([]float64, n)
-	rhat := make([]float64, n)
-	p := make([]float64, n)
-	v := make([]float64, n)
-	s := make([]float64, n)
-	t := make([]float64, n)
-	phat := make([]float64, n)
-	shat := make([]float64, n)
-
-	a.MulVec(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	bnorm := norm2(b)
-	if bnorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return SolveResult{Converged: true}, nil
-	}
-	copy(rhat, r)
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	for it := 0; it < o.MaxIter; it++ {
-		res := norm2(r) / bnorm
-		if res <= o.Tol {
-			return SolveResult{Iterations: it, Residual: res, Converged: true}, nil
-		}
-		rhoNew := dot(rhat, r)
-		if rhoNew == 0 {
-			return SolveResult{Iterations: it, Residual: res},
-				fmt.Errorf("sparse: BiCGSTAB breakdown (rho = 0)")
-		}
-		if it == 0 {
-			copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			for i := range p {
-				p[i] = r[i] + beta*(p[i]-omega*v[i])
-			}
-		}
-		rho = rhoNew
-		o.Precond.Apply(phat, p)
-		a.MulVec(v, phat)
-		alpha = rho / dot(rhat, v)
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		if norm2(s)/bnorm <= o.Tol {
-			axpy(alpha, phat, x)
-			return SolveResult{Iterations: it + 1, Residual: norm2(s) / bnorm, Converged: true}, nil
-		}
-		o.Precond.Apply(shat, s)
-		a.MulVec(t, shat)
-		tt := dot(t, t)
-		if tt == 0 {
-			return SolveResult{Iterations: it, Residual: res},
-				fmt.Errorf("sparse: BiCGSTAB breakdown (t = 0)")
-		}
-		omega = dot(t, s) / tt
-		axpy(alpha, phat, x)
-		axpy(omega, shat, x)
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		if omega == 0 {
-			return SolveResult{Iterations: it, Residual: norm2(r) / bnorm},
-				fmt.Errorf("sparse: BiCGSTAB breakdown (omega = 0)")
 		}
 	}
 	return SolveResult{Iterations: o.MaxIter, Residual: norm2(r) / bnorm}, nil

@@ -289,77 +289,6 @@ func TestCGNotSPD(t *testing.T) {
 	}
 }
 
-func TestBiCGSTABNonSymmetric(t *testing.T) {
-	// Upwind convection-diffusion-like non-symmetric matrix.
-	n := 50
-	bu := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		bu.Add(i, i, 3)
-		if i > 0 {
-			bu.Add(i, i-1, -2)
-		}
-		if i < n-1 {
-			bu.Add(i, i+1, -0.5)
-		}
-	}
-	a, _ := bu.ToCSR()
-	if a.IsSymmetric(1e-12) {
-		t.Fatal("test matrix unexpectedly symmetric")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i%3) + 1
-	}
-	x := make([]float64, n)
-	res, err := BiCGSTAB(a, b, x, SolveOptions{Precond: NewJacobi(a)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("BiCGSTAB did not converge: %+v", res)
-	}
-	if r := residual(a, b, x); r > 1e-8 {
-		t.Errorf("residual %g", r)
-	}
-}
-
-func TestBiCGSTABZeroRHS(t *testing.T) {
-	a := laplace1D(6)
-	x := []float64{1, 2, 3, 4, 5, 6}
-	res, err := BiCGSTAB(a, make([]float64, 6), x, SolveOptions{})
-	if err != nil || !res.Converged {
-		t.Fatalf("zero RHS: %v %+v", err, res)
-	}
-}
-
-// Property: CG solution matches BiCGSTAB solution on SPD systems.
-func TestQuickCGvsBiCGSTAB(t *testing.T) {
-	a := laplace2D(8)
-	f := func(seed uint64) bool {
-		r := rng.New(seed, 0)
-		b := make([]float64, a.N)
-		for i := range b {
-			b[i] = r.Float64() - 0.5
-		}
-		x1 := make([]float64, a.N)
-		x2 := make([]float64, a.N)
-		r1, err1 := CG(a, b, x1, SolveOptions{Tol: 1e-12})
-		r2, err2 := BiCGSTAB(a, b, x2, SolveOptions{Tol: 1e-12})
-		if err1 != nil || err2 != nil || !r1.Converged || !r2.Converged {
-			return false
-		}
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestJacobiZeroDiagonal(t *testing.T) {
 	b := NewBuilder(2)
 	b.Add(0, 1, 1)
