@@ -117,18 +117,22 @@ func (t Tet) FaceArea(f int) float64 {
 //
 // The implementation uses the linearity of barycentric coordinates along the
 // ray: w_i(t) = w_i(0) + t * dw_i, and the first coordinate to hit zero
-// (with t > tol) identifies the exit face.
+// (with t > tol) identifies the exit face. Both terms come from the shape
+// gradients g_i (GradShape): the slope dw_i = g_i·d, and the start value
+// w_i(0) = g_i·(p − v) with v a vertex of face i. Neither evaluates a
+// barycentric coordinate at a far point such as p+d, whose cancellation
+// would cost the crossing time most of its digits when |d| spans many
+// cell sizes.
 func (t Tet) ExitFace(p, d Vec3, tMax float64) (face int, tExit float64) {
-	w0 := t.Barycentric(p)
-	w1 := t.Barycentric(p.Add(d))
+	g := t.GradShape()
 	face = -1
 	tExit = tMax
 	for i := 0; i < 4; i++ {
-		dw := w1[i] - w0[i]
+		dw := g[i].Dot(d)
 		if dw >= 0 {
 			continue // coordinate i is not decreasing; can't exit face i
 		}
-		ti := -w0[i] / dw
+		ti := -g[i].Dot(p.Sub(t.Vertex(FaceVerts[i][0]))) / dw
 		if ti < 0 {
 			ti = 0 // already on/past the face plane: exits immediately
 		}

@@ -201,6 +201,42 @@ func TestExitFaceOnFace(t *testing.T) {
 	}
 }
 
+// TestExitFaceLongSkewedRay pins the conditioning of the exit time on the
+// scale of the plume mesh: a millimetre-sized skewed cell far from the
+// origin, crossed by an ion-speed ray (|d| ~ 2e4 m/s, so one unit of ray
+// parameter is ~1e7 cell widths away). The computed exit point must lie on
+// the reported face plane to ~1e-12 of the cell size.
+func TestExitFaceLongSkewedRay(t *testing.T) {
+	const h = 2e-3
+	o := Vec3{0.031, -0.017, 0.143}
+	tet := Tet{
+		A: o,
+		B: o.Add(Vec3{h, 0.1 * h, -0.05 * h}),
+		C: o.Add(Vec3{0.93 * h, 0.21 * h, 0.02 * h}),
+		D: o.Add(Vec3{0.4 * h, 0.35 * h, 0.9 * h}),
+	}
+	r := rand.New(rand.NewSource(5))
+	worst := 0.0
+	for trial := 0; trial < 200; trial++ {
+		w := [4]float64{r.Float64() + .05, r.Float64() + .05, r.Float64() + .05, r.Float64() + .05}
+		s := w[0] + w[1] + w[2] + w[3]
+		p := tet.A.Scale(w[0] / s).Add(tet.B.Scale(w[1] / s)).Add(tet.C.Scale(w[2] / s)).Add(tet.D.Scale(w[3] / s))
+		d := Vec3{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}.Scale(2e4)
+		face, te := tet.ExitFace(p, d, 1)
+		if face < 0 {
+			t.Fatalf("trial %d: ray failed to exit", trial)
+		}
+		fv := FaceVerts[face]
+		p0, p1, p2 := tet.Vertex(fv[0]), tet.Vertex(fv[1]), tet.Vertex(fv[2])
+		n := p1.Sub(p0).Cross(p2.Sub(p0)).Normalize()
+		q := p.Add(d.Scale(te))
+		worst = math.Max(worst, math.Abs(n.Dot(q.Sub(p0)))/h)
+	}
+	if worst > 1e-12 {
+		t.Fatalf("exit point off the face plane by %.3g cell sizes, want <= 1e-12", worst)
+	}
+}
+
 func TestGradShape(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 50; trial++ {
