@@ -113,8 +113,8 @@ type trafficStats struct {
 }
 
 // workCounts is a run's deterministic global work, summed over ranks.
-// cg_iter_nnz is Σ_rank (CG iterations × owned-row nnz) — the quantity the
-// cost model multiplies by its CGRowNNZ unit.
+// cg_iter_nnz is Σ_rank (CG iterations × owned-row and IC(0) entries per
+// iteration) — the quantity the cost model multiplies by its CGRowNNZ unit.
 type workCounts struct {
 	MoveStepsDSMC int64 `json:"move_steps_dsmc"`
 	MoveStepsPIC  int64 `json:"move_steps_pic"`

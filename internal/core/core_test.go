@@ -281,6 +281,14 @@ func TestCostModelDefaults(t *testing.T) {
 	if Total(times) < times[CompInject]+times[CompDSMCMove] {
 		t.Error("Total less than parts")
 	}
+	// Each CG iteration charges its matrix and factor entries and its
+	// ghost-refresh codec bytes.
+	w = NewWork()
+	w.CGIterations, w.CGOwnedNNZ, w.CGCodecBytes = 10, 1000, 800
+	got := cm.Times(w, map[string]simmpi.PhaseStats{}, nil, 4, true)[CompPoisson]
+	if want := 10 * (1000*cm.CGRowNNZ + 800*cm.PackByte); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("Poisson compute %g, want %g", got, want)
+	}
 }
 
 func TestWorkAdd(t *testing.T) {
@@ -291,8 +299,9 @@ func TestWorkAdd(t *testing.T) {
 	b.Injected = 7
 	b.PackedBytes["x"] = 3
 	b.CGOwnedNNZ = 99
+	b.CGCodecBytes = 64
 	a.Add(b)
-	if a.Injected != 12 || a.PackedBytes["x"] != 13 || a.CGOwnedNNZ != 99 {
+	if a.Injected != 12 || a.PackedBytes["x"] != 13 || a.CGOwnedNNZ != 99 || a.CGCodecBytes != 64 {
 		t.Errorf("Add wrong: %+v", a)
 	}
 }

@@ -67,7 +67,7 @@ type CostModel struct {
 	Reindex    float64 // one particle renumbered
 	Deposit    float64 // one charged particle deposited (locate + weights)
 	Push       float64 // one Boris kick
-	CGRowNNZ   float64 // one owned-row nonzero, per CG iteration
+	CGRowNNZ   float64 // one matrix or preconditioner entry read, per CG iteration
 	PackByte   float64 // one byte packed/unpacked for migration
 	PartCell   float64 // re-decomposition cost per coarse cell
 	KMCubeRank float64 // Kuhn-Munkres cost per rank^3
@@ -142,7 +142,8 @@ type Work struct {
 	Deposited     int64
 	Pushed        int64
 	CGIterations  int64
-	CGOwnedNNZ    int64 // nnz of owned rows (constant per solver); cost = iter * this
+	CGOwnedNNZ    int64 // owned-row nnz + IC(0) entries one apply reads (constant per solver); cost = iter * this
+	CGCodecBytes  int64 // bytes one CG iteration's ghost refresh encodes/decodes (constant per solver)
 	PackedBytes   map[string]int64
 	PartCells     int64 // cells partitioned during rebalances
 	KMRanks3      int64 // sum of ranks^3 over KM invocations
@@ -166,6 +167,9 @@ func (w *Work) Add(other *Work) {
 	w.CGIterations += other.CGIterations
 	if other.CGOwnedNNZ > w.CGOwnedNNZ {
 		w.CGOwnedNNZ = other.CGOwnedNNZ
+	}
+	if other.CGCodecBytes > w.CGCodecBytes {
+		w.CGCodecBytes = other.CGCodecBytes
 	}
 	w.PartCells += other.PartCells
 	w.KMRanks3 += other.KMRanks3
@@ -251,7 +255,7 @@ func (cm *CostModel) Times(w *Work, traffic, totals map[string]simmpi.PhaseStats
 			tot.Messages, int64(float64(tot.Bytes)*sg),
 			n, cm.Placement)
 	}
-	t[CompPoisson] = float64(w.CGIterations)*float64(w.CGOwnedNNZ)*sg*cm.CGRowNNZ + poiComm
+	t[CompPoisson] = float64(w.CGIterations)*sg*(float64(w.CGOwnedNNZ)*cm.CGRowNNZ+float64(w.CGCodecBytes)*cm.PackByte) + poiComm
 	// Rebalance = re-partitioning + KM (compute, grid-scaled) +
 	// control-plane collectives (grid-sized data) + the bulk particle
 	// migration (particle-scaled, like the regular exchanges).

@@ -35,17 +35,18 @@ type Solver struct {
 	injector *particle.Injector
 	injAlloc []int // particles per rank per unit budget (replicated)
 
-	phi        []float64
-	eField     []geom.Vec3
-	ownedFine  []int32
-	surf       *dsmc.SurfaceSampler
-	wall       dsmc.WallModel
-	nodeCharge []float64
-	fineCell   []int32
-	rng        *rng.Rand
-	ownedNNZ   int64
-	prevPhase  map[string]simmpi.PhaseStats
-	inletFaces []inletFace
+	phi          []float64
+	eField       []geom.Vec3
+	ownedFine    []int32
+	surf         *dsmc.SurfaceSampler
+	wall         dsmc.WallModel
+	nodeCharge   []float64
+	fineCell     []int32
+	rng          *rng.Rand
+	cgIterNNZ    int64
+	cgCodecBytes int64
+	prevPhase    map[string]simmpi.PhaseStats
+	inletFaces   []inletFace
 
 	// pool is this rank's worker pool for the hot particle kernels
 	// (Config.Workers wide); the scratches below are its reusable
@@ -237,11 +238,9 @@ func (s *Solver) rebuildOwnershipState() error {
 		return err
 	}
 	s.dist = dist
-	// Owned-row nonzeros for the Poisson cost model.
-	s.ownedNNZ = 0
-	for _, node := range dist.OwnedNodes() {
-		s.ownedNNZ += int64(s.poisson.K.RowPtr[node+1] - s.poisson.K.RowPtr[node])
-	}
+	// Per-iteration work for the Poisson cost model.
+	s.cgIterNNZ = dist.IterNNZ()
+	s.cgCodecBytes = dist.IterCodecBytes()
 	return nil
 }
 
@@ -315,7 +314,8 @@ func (s *Solver) Step(step int) error {
 	// World.Run classifies as simmpi.ErrCanceled.
 	s.Comm.CheckCancel()
 	w := NewWork()
-	w.CGOwnedNNZ = s.ownedNNZ
+	w.CGOwnedNNZ = s.cgIterNNZ
+	w.CGCodecBytes = s.cgCodecBytes
 	traffic := make(map[string]simmpi.PhaseStats)
 	s.mr.BeginStep(step)
 

@@ -86,7 +86,10 @@ func ParseExchangeMode(s string) (ExchangeMode, error) {
 // it owns (sparse.LocalCSR: owned rows plus a ghost column layer), inner
 // products are allreduced, and the configured ExchangeMode supplies the
 // charge reduction, the per-iteration ghost refresh and the phi
-// publication.
+// publication. The preconditioner is block Jacobi with an IC(0) factor of
+// each rank's owned×owned block (sparse.IC0), so it adds no
+// communication and depends on the partition only: both modes iterate
+// bitwise identically.
 type DistSolver struct {
 	P     *Poisson
 	Owner []int32
@@ -95,7 +98,7 @@ type DistSolver struct {
 	ownedByRank [][]int32
 	mine        []int32 // owned global ids, ascending: local ids 0..len(mine)-1
 	local       *sparse.LocalCSR
-	invDiag     []float64
+	pc          *sparse.IC0 // block-Jacobi IC(0) of the owned×owned block
 
 	// Ghost-refresh lists (owner mode), in local ids and derived from the
 	// CSR column pattern, so both sides of every pairing agree exactly:
@@ -174,14 +177,7 @@ func newDistSolver(p *Poisson, owner, fineOwner []int32, nRanks, rank int, mode 
 	if d.local, err = sparse.NewLocalCSR(p.K, d.mine); err != nil {
 		return nil, err
 	}
-	d.invDiag = d.local.DiagOwned()
-	for i, x := range d.invDiag {
-		if x != 0 {
-			d.invDiag[i] = 1 / x
-		} else {
-			d.invDiag[i] = 1
-		}
-	}
+	d.pc = sparse.NewIC0(d.local)
 	nOwn, tot := d.local.NumOwned(), d.local.NumOwned()+d.local.NumGhost()
 	d.b = make([]float64, nOwn)
 	d.r = make([]float64, nOwn)
@@ -205,6 +201,31 @@ func newDistSolver(p *Poisson, owner, fineOwner []int32, nRanks, rank int, mode 
 
 // OwnedNodes returns the node ids this rank owns (do not modify).
 func (d *DistSolver) OwnedNodes() []int32 { return d.mine }
+
+// IterNNZ returns the matrix and factor entries one CG iteration reads on
+// this rank: the owned-row matvec plus one preconditioner apply.
+func (d *DistSolver) IterNNZ() int64 {
+	return int64(d.local.NNZ() + d.pc.ApplyNNZ())
+}
+
+// IterCodecBytes returns the bytes this rank encodes or decodes in one CG
+// iteration's ghost refresh. Replicated mode funnels the full vector
+// through rank 0: every rank encodes its owned segment and decodes the
+// full vector, and rank 0 also decodes every segment and encodes the full
+// vector — O(nodes) per rank whatever the rank count. Owner mode packs
+// its send lists and unpacks its ghost lists only.
+func (d *DistSolver) IterCodecBytes() int64 {
+	if d.Mode == ExchangeReplicated {
+		n := int64(len(d.full))
+		b := 8 * (int64(len(d.mine)) + n)
+		if d.fullEnc != nil { // rank 0
+			b += 16 * n
+		}
+		return b
+	}
+	// idxListBytes counts 4 bytes per index; each index moves one float64.
+	return 2 * (idxListBytes(d.sendIdx) + idxListBytes(d.recvIdx))
+}
 
 // dotOwned computes sum over the first n entries of a[i]*b[i].
 //
@@ -305,12 +326,12 @@ func (d *DistSolver) publish(comm *simmpi.Comm, phi []float64) {
 }
 
 // Solve reduces the per-rank nodal charge contributions, builds the
-// owned right-hand side, and runs the distributed Jacobi-preconditioned
-// CG. phi (full length) is the initial guess and is overwritten with the
-// solution: everywhere in replicated mode, on owned and consumer nodes in
-// owner mode (call GatherPhi before reading it globally). All ranks must
-// call Solve collectively. Zero opts fields resolve to the shared solver
-// defaults (sparse.DefaultTol et al.).
+// owned right-hand side, and runs the distributed block-Jacobi
+// IC(0)-preconditioned CG. phi (full length) is the initial guess and is
+// overwritten with the solution: everywhere in replicated mode, on owned
+// and consumer nodes in owner mode (call GatherPhi before reading it
+// globally). All ranks must call Solve collectively. Zero opts fields
+// resolve to the shared solver defaults (sparse.DefaultTol et al.).
 func (d *DistSolver) Solve(comm *simmpi.Comm, nodeChargeLocal, phi []float64, opts sparse.SolveOptions) (sparse.SolveResult, error) {
 	n := d.P.Fine.NumNodes()
 	if len(nodeChargeLocal) != n || len(phi) != n {
@@ -339,9 +360,9 @@ func (d *DistSolver) Solve(comm *simmpi.Comm, nodeChargeLocal, phi []float64, op
 	d.local.MulVecOwned(d.ap, d.x)
 	for i := 0; i < nOwn; i++ {
 		d.r[i] = d.b[i] - d.ap[i]
-		d.z[i] = d.invDiag[i] * d.r[i]
-		d.p[i] = d.z[i]
 	}
+	d.pc.Apply(d.z, d.r)
+	copy(d.p, d.z)
 	// One fused 3-element allreduce seeds |b|^2, |r|^2 and r.z together.
 	d.red[0] = dotOwned(nOwn, d.b, d.b)
 	d.red[1] = dotOwned(nOwn, d.r, d.r)
@@ -378,8 +399,8 @@ func (d *DistSolver) Solve(comm *simmpi.Comm, nodeChargeLocal, phi []float64, op
 		for i := 0; i < nOwn; i++ {
 			d.x[i] += alpha * d.p[i]
 			d.r[i] -= alpha * d.ap[i]
-			d.z[i] = d.invDiag[i] * d.r[i]
 		}
+		d.pc.Apply(d.z, d.r)
 		// The per-iteration |r|^2 and r.z reductions ride one fused
 		// 2-element allreduce.
 		d.red[0] = dotOwned(nOwn, d.r, d.r)

@@ -255,11 +255,12 @@ func (d *DistSolver) GatherPhi(comm *simmpi.Comm, phi []float64) {
 
 // ResidentState is the per-rank resident solver footprint backing the
 // metrics gauges and bench schema v5: what this rank keeps in memory for
-// the Poisson solve, split into matrix storage, solver vectors and
-// local⇄global/index-list maps. Every term is O(nodes/P + ghosts) except
-// replicated mode's full-length assembly buffer. (The mesh, ownership
-// tables and the assembly-time global K — shared with the rest of the
-// solver — are outside this scope; see DESIGN.md §6j.)
+// the Poisson solve, split into matrix storage (the owned rows and their
+// IC(0) factor), solver vectors and local⇄global/index-list maps. Every
+// term is O(nodes/P + ghosts) except replicated mode's full-length
+// assembly buffer. (The mesh, ownership tables and the assembly-time
+// global K — shared with the rest of the solver — are outside this scope;
+// see DESIGN.md §6j.)
 type ResidentState struct {
 	OwnedRows     int
 	GhostCols     int
@@ -278,9 +279,9 @@ func (d *DistSolver) ResidentState() ResidentState {
 	return ResidentState{
 		OwnedRows:   len(d.mine),
 		GhostCols:   d.local.NumGhost(),
-		MatrixBytes: d.local.MatrixBytes(),
+		MatrixBytes: d.local.MatrixBytes() + d.pc.Bytes(),
 		VectorBytes: 8 * int64(len(d.b)+len(d.r)+len(d.z)+len(d.ap)+len(d.chg)+
-			len(d.p)+len(d.x)+len(d.invDiag)+len(d.full)),
+			len(d.p)+len(d.x)+len(d.full)),
 		IndexMapBytes: d.local.IndexMapBytes() + idxListBytes(d.sendIdx) + idxListBytes(d.recvIdx) +
 			idxListBytes(d.chgSend) + idxListBytes(d.chgRecv),
 	}

@@ -414,6 +414,11 @@ func TestOwnerLocalResidentStateScaling(t *testing.T) {
 		if extra := rs.VectorBytes - os.VectorBytes; extra != 8*int64(nNodes) {
 			t.Fatalf("rank %d: replicated holds %d vector bytes beyond owner, want one %d-node buffer", rk, extra, nNodes)
 		}
+		// Per-iteration codec work: replicated decodes the full vector on
+		// every rank, owner packs and unpacks its ghost lists only.
+		if oc, rc := owner.IterCodecBytes(), repl.IterCodecBytes(); rc < 8*int64(nNodes) || oc >= rc {
+			t.Fatalf("rank %d: per-iteration codec bytes owner %d, replicated %d (%d nodes)", rk, oc, rc, nNodes)
+		}
 		ownerMV := os.MatrixBytes + os.VectorBytes
 		t.Logf("rank %d: owner %d B matrix+vector (%d owned + %d ghosts), single rank %d B",
 			rk, ownerMV, os.OwnedRows, os.GhostCols, wholeMV)
@@ -468,4 +473,132 @@ func TestOwnerLocalZeroChargeAndGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// plumeCharge is a random interior charge on the plume mesh.
+func plumeCharge(p *Poisson, seed uint64) []float64 {
+	r := rng.New(seed, 0)
+	charge := make([]float64, p.Fine.NumNodes())
+	for n := range charge {
+		if !p.IsDirichlet[n] {
+			charge[n] = 1e-13 * r.Float64()
+		}
+	}
+	return charge
+}
+
+// TestDistSolverIC0HalvesIterations pins the block-Jacobi IC(0)
+// preconditioner on the plume case: at 1, 2 and 4 ranks the distributed
+// CG takes at most half the iterations of the serial Jacobi-preconditioned
+// Poisson.Solve on the same system and lands on the same potential, with
+// no pivot needing the guard. The factor covers fewer couplings as ranks
+// are added (ghost columns are dropped), so the count may grow with the
+// rank count but stays in bound.
+func TestDistSolverIC0HalvesIterations(t *testing.T) {
+	ref := plumeRefinement(t)
+	p, err := NewPoisson(ref.Fine, DefaultBC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tol = 1e-10
+	charge := plumeCharge(p, 7)
+	phiSerial := make([]float64, len(charge))
+	serial, err := p.Solve(p.RHS(charge), phiSerial, sparse.SolveOptions{Tol: tol})
+	if err != nil || !serial.Converged {
+		t.Fatalf("serial solve: %+v, %v", serial, err)
+	}
+	scale := 0.0
+	for _, v := range phiSerial {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for _, nRanks := range []int{1, 2, 4} {
+		coarseOwner := blockPartition(ref, nRanks)
+		owners := NodeOwners(ref, coarseOwner)
+		fineOwners := FineCellOwners(ref, coarseOwner)
+		split := depositSplit(ref, charge, fineOwners, nRanks)
+		var iters int
+		var phi0 []float64
+		world := simmpi.NewWorld(nRanks, simmpi.Options{})
+		err := world.Run(func(comm *simmpi.Comm) {
+			ds, err := NewDistSolverOwnerLocal(p, owners, fineOwners, nRanks, comm.Rank())
+			if err != nil {
+				panic(err)
+			}
+			if g := ds.pc.Guarded(); g != 0 {
+				panic(fmt.Sprintf("rank %d: %d guarded pivots on the plume mesh", comm.Rank(), g))
+			}
+			phi := make([]float64, len(charge))
+			res, err := ds.Solve(comm, split[comm.Rank()], phi, sparse.SolveOptions{Tol: tol})
+			if err != nil {
+				panic(err)
+			}
+			if !res.Converged {
+				panic("distributed CG did not converge")
+			}
+			ds.GatherPhi(comm, phi)
+			if comm.Rank() == 0 {
+				iters, phi0 = res.Iterations, phi
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("ranks=%d: IC(0) %d iterations, serial Jacobi %d", nRanks, iters, serial.Iterations)
+		if 2*iters > serial.Iterations {
+			t.Errorf("ranks=%d: %d iterations, more than half of serial Jacobi's %d", nRanks, iters, serial.Iterations)
+		}
+		for n := range phiSerial {
+			if math.Abs(phi0[n]-phiSerial[n]) > 1e-6*scale+1e-15 {
+				t.Fatalf("ranks=%d node %d: %v vs serial %v", nRanks, n, phi0[n], phiSerial[n])
+			}
+		}
+	}
+}
+
+// BenchmarkDistCGSolve times one cold-start distributed CG solve on the
+// 2-rank plume partition in owner mode, and reports its iterations.
+// ns/op ÷ iters/solve is the cost of one distributed CG iteration.
+func BenchmarkDistCGSolve(b *testing.B) {
+	ref := plumeRefinement(b)
+	p, err := NewPoisson(ref.Fine, DefaultBC())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const nRanks = 2
+	charge := plumeCharge(p, 7)
+	coarseOwner := blockPartition(ref, nRanks)
+	owners := NodeOwners(ref, coarseOwner)
+	fineOwners := FineCellOwners(ref, coarseOwner)
+	split := depositSplit(ref, charge, fineOwners, nRanks)
+	var iters int
+	world := simmpi.NewWorld(nRanks, simmpi.Options{})
+	err = world.Run(func(comm *simmpi.Comm) {
+		ds, err := NewDistSolverOwnerLocal(p, owners, fineOwners, nRanks, comm.Rank())
+		if err != nil {
+			panic(err)
+		}
+		phi := make([]float64, len(charge))
+		comm.Barrier()
+		if comm.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			clear(phi)
+			res, err := ds.Solve(comm, split[comm.Rank()], phi, sparse.SolveOptions{Tol: 1e-10})
+			if err != nil {
+				panic(err)
+			}
+			if comm.Rank() == 0 {
+				iters += res.Iterations
+			}
+		}
+		comm.Barrier()
+		if comm.Rank() == 0 {
+			b.StopTimer()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/solve")
 }

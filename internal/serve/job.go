@@ -216,41 +216,53 @@ func (j *Job) markRunning(now time.Time) bool {
 	return true
 }
 
-// finish records the terminal outcome and releases done-waiters. err == nil
-// stores the result; otherwise the error is classified for clients
-// (canceled / rank_failure / deadlock / error).
-func (j *Job) finish(res *Result, err error, now time.Time) {
+// outcome is a job's terminal state as decided from its run, before it is
+// persisted and published.
+type outcome struct {
+	state      JobState
+	resultJSON []byte
+	errMsg     string
+	errClass   string
+}
+
+// decide classifies a run's result into the job's terminal outcome without
+// publishing it. err == nil stores the result; otherwise the error is
+// classified for clients (canceled / timeout / rank_failure / deadlock /
+// error).
+func (j *Job) decide(res *Result, err error) outcome {
+	switch {
+	case err == nil:
+		blob, merr := json.Marshal(res)
+		if merr != nil {
+			return outcome{state: StateFailed, errMsg: fmt.Sprintf("marshal result: %v", merr), errClass: "error"}
+		}
+		return outcome{state: StateDone, resultJSON: blob}
+	case errors.Is(err, simmpi.ErrCanceled):
+		j.mu.Lock()
+		deadline := j.deadline
+		j.mu.Unlock()
+		if deadline > 0 {
+			return outcome{state: StateCanceled, errMsg: fmt.Sprintf("job deadline exceeded (%s): %v", deadline, err), errClass: "timeout"}
+		}
+		return outcome{state: StateCanceled, errMsg: err.Error(), errClass: "canceled"}
+	default:
+		return outcome{state: StateFailed, errMsg: err.Error(), errClass: classifyError(err)}
+	}
+}
+
+// finish publishes a terminal outcome and releases done-waiters. The
+// server calls it only once the outcome is durable.
+func (j *Job) finish(o outcome, now time.Time) {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
 		return
 	}
 	j.finished = now
-	switch {
-	case err == nil:
-		blob, merr := json.Marshal(res)
-		if merr != nil {
-			j.state = StateFailed
-			j.errMsg = fmt.Sprintf("marshal result: %v", merr)
-			j.errClass = "error"
-			break
-		}
-		j.state = StateDone
-		j.resultJSON = blob
-	case errors.Is(err, simmpi.ErrCanceled):
-		j.state = StateCanceled
-		if j.deadline > 0 {
-			j.errMsg = fmt.Sprintf("job deadline exceeded (%s): %v", j.deadline, err)
-			j.errClass = "timeout"
-		} else {
-			j.errMsg = err.Error()
-			j.errClass = "canceled"
-		}
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.errClass = classifyError(err)
-	}
+	j.state = o.state
+	j.resultJSON = o.resultJSON
+	j.errMsg = o.errMsg
+	j.errClass = o.errClass
 	j.mu.Unlock()
 	close(j.done)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -69,6 +70,67 @@ func TestPersistAcrossRestart(t *testing.T) {
 	}
 	if srv2.WorldsBuilt() != 0 {
 		t.Fatalf("cache hit after restart built %d worlds", srv2.WorldsBuilt())
+	}
+}
+
+// gatedFS holds the first result write until the test releases it,
+// freezing the worker between computing a job's outcome and persisting
+// it.
+type gatedFS struct {
+	*store.MemFS
+	once    sync.Once
+	entered chan struct{} // closed when the first result write starts
+	release chan struct{} // closed by the test to let it proceed
+}
+
+func (g *gatedFS) Create(path string) (store.File, error) {
+	if strings.Contains(path, "/results/") {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
+	return g.MemFS.Create(path)
+}
+
+// TestDoneIsDurableBeforePublished: a job must not read as done while its
+// terminal outcome is still unwritten. With the result write held, the
+// job is not yet terminal; once waitTerminal returns, a crash must still
+// recover it as done.
+func TestDoneIsDurableBeforePublished(t *testing.T) {
+	mem := store.NewMemFS()
+	fs := &gatedFS{MemFS: mem, entered: make(chan struct{}), release: make(chan struct{})}
+	st, rep := openTestStore(t, fs)
+	srv := NewServer(Options{Workers: 1, Store: st, Recovered: rep})
+	defer srv.Drain(time.Second)
+	out, err := srv.Submit(testSpec(12))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	select {
+	case <-fs.entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never wrote its result")
+	}
+	select {
+	case <-out.Job.done:
+		close(fs.release)
+		t.Fatalf("job published %s before its result was durable", out.Job.stateNow())
+	default:
+	}
+	if st := out.Job.stateNow(); st.terminal() {
+		close(fs.release)
+		t.Fatalf("job reads %s before its result was durable", st)
+	}
+	close(fs.release)
+	if state := waitTerminal(t, out.Job); state != StateDone {
+		t.Fatalf("job ended %s", state)
+	}
+
+	mem.Crash()
+	_, rep2 := openTestStore(t, mem)
+	if len(rep2.Jobs) != 1 || rep2.Jobs[0].State != "done" {
+		t.Fatalf("recovery after a crash right past done: %+v", rep2.Jobs)
 	}
 }
 

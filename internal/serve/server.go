@@ -475,9 +475,7 @@ func (s *Server) runJob(j *Job) {
 	s.nRunning.Add(1)
 	defer s.nRunning.Add(-1)
 	if !j.markRunning(time.Now()) {
-		j.finish(nil, simmpi.ErrCanceled, time.Now())
-		s.nCanceled.Add(1)
-		s.recordTerminal(j)
+		s.complete(j, nil, simmpi.ErrCanceled, time.Now())
 		return
 	}
 	s.opts.Store.RecordState(j.ID, "running", "", "")
@@ -490,9 +488,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	cfg, err := j.Spec.BuildConfig()
 	if err != nil {
-		j.finish(nil, err, time.Now())
-		s.nFailed.Add(1)
-		s.recordTerminal(j)
+		s.complete(j, nil, err, time.Now())
 		return
 	}
 	if s.opts.Calibration != nil {
@@ -530,19 +526,11 @@ func (s *Server) runJob(j *Job) {
 	stats, err := core.Run(world, cfg)
 	now := time.Now()
 	if err != nil {
-		j.finish(nil, err, now)
-		if j.stateNow() == StateCanceled {
-			s.nCanceled.Add(1)
-		} else {
-			s.nFailed.Add(1)
-		}
-		s.recordTerminal(j)
+		s.complete(j, nil, err, now)
 		return
 	}
 	res := buildResult(j.Key, j.Spec, stats)
-	j.finish(&res, nil, now)
-	s.nCompleted.Add(1)
-	s.recordTerminal(j)
+	s.complete(j, &res, nil, now)
 
 	s.mu.Lock()
 	s.runSecondsSum += j.runSeconds()
@@ -557,22 +545,39 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Unlock()
 }
 
+// complete finalizes a job from its run's result (finished at now): the
+// terminal outcome is made durable first and published second, so a
+// client that has seen the job terminal finds it terminal after a crash
+// and restart too.
+func (s *Server) complete(j *Job, res *Result, err error, now time.Time) {
+	o := j.decide(res, err)
+	s.recordTerminal(j, o)
+	switch o.state {
+	case StateDone:
+		s.nCompleted.Add(1)
+	case StateCanceled:
+		s.nCanceled.Add(1)
+	default:
+		s.nFailed.Add(1)
+	}
+	j.finish(o, now)
+}
+
 // recordTerminal persists a job's terminal outcome. Result bytes land
 // durably *before* the "done" state record: journal replay drops a done
 // job whose result is missing, so this ordering guarantees a recovered
 // done job is always servable byte-identically.
-func (s *Server) recordTerminal(j *Job) {
+func (s *Server) recordTerminal(j *Job, o outcome) {
 	if s.opts.Store == nil {
 		return
 	}
-	st := j.status()
-	if blob := j.result(); blob != nil {
+	if o.resultJSON != nil {
 		if fb := j.framesBlob(); len(fb) > 0 {
 			s.opts.Store.PutFrames(j.Key, fb)
 		}
-		s.opts.Store.PutResult(j.Key, blob)
+		s.opts.Store.PutResult(j.Key, o.resultJSON)
 	}
-	s.opts.Store.RecordState(j.ID, string(st.State), st.Error, st.ErrClass)
+	s.opts.Store.RecordState(j.ID, string(o.state), o.errMsg, o.errClass)
 }
 
 // Drain performs graceful shutdown: admission stops (Submit returns
@@ -614,8 +619,8 @@ type HealthStatus struct {
 	// Status is "ok" while serving, "draining" during graceful shutdown.
 	Status string `json:"status"`
 	// StoreMode is durable, degraded, or memory (no store configured).
-	StoreMode string `json:"store_mode"`
-	QueueDepth int `json:"queue_depth"`
+	StoreMode  string `json:"store_mode"`
+	QueueDepth int    `json:"queue_depth"`
 	// InFlight counts workers currently executing a world.
 	InFlight int `json:"in_flight"`
 	Workers  int `json:"workers"`
